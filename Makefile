@@ -28,12 +28,12 @@ race:
 	$(GO) test -race -short ./...
 
 # Engine benchmarks (campaign, oracle, per-cipher fork kernels, DFA key
-# recovery, atlas sweeps), 5 repetitions averaged into $(BENCH_OUT) under
-# label $(BENCH_LABEL). Run with BENCH_LABEL=before on the parent commit
-# to record a baseline; entries of other labels in an existing file are
-# preserved.
+# recovery, atlas sweeps, the PPO learner step), 5 repetitions averaged
+# into $(BENCH_OUT) under label $(BENCH_LABEL). Run with
+# BENCH_LABEL=before on the parent commit to record a baseline; entries
+# of other labels in an existing file are preserved.
 bench:
-	$(GO) test -run '^$$' -bench 'Campaign|Oracle|Encrypt|DFA|Sweep' -benchmem -count 5 . \
+	$(GO) test -run '^$$' -bench 'Campaign|Oracle|Encrypt|DFA|Sweep|PPOUpdate' -benchmem -count 5 . \
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -o $(BENCH_OUT)
 
 # Every benchmark in the repo, including the paper-table harness runs.
@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAccumulatorMerge$$' -fuzztime $(FUZZTIME) ./internal/stats
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultApply$$' -fuzztime $(FUZZTIME) ./internal/fault
+	$(GO) test -run '^$$' -fuzz '^FuzzMLPBatchEquivalence$$' -fuzztime $(FUZZTIME) ./internal/nn
 
 # Kill-and-resume smoke: SIGINT a checkpointing discovery run mid-training,
 # verify the event log survived intact, resume, and compare against an

@@ -15,6 +15,7 @@ package explorefault_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -29,6 +30,8 @@ import (
 	"repro/internal/harness"
 	"repro/internal/leakage"
 	"repro/internal/prng"
+	"repro/internal/rl"
+	"repro/internal/rl/ppo"
 	"repro/internal/stats"
 )
 
@@ -662,5 +665,51 @@ func BenchmarkSweep(b *testing.B) {
 			}
 			b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds(), "cells/sec")
 		})
+	}
+}
+
+// BenchmarkPPOUpdate measures one learner step at the discovery shape:
+// Discover's agent configuration on gift64 round 25 (64 observation
+// bits, 64 actions, 4 epochs of 64-sample minibatches) updating on one
+// rollout of 8 envs × 64 steps with 0/1 fault-pattern observations and
+// terminal rewards.
+func BenchmarkPPOUpdate(b *testing.B) {
+	const envs, steps, width = 8, 64, 64
+	rng := prng.New(2023)
+	agent := ppo.New(width, width, ppo.Config{
+		LearningRate:     1e-3,
+		Epochs:           4,
+		EntropyCoef:      1e-3,
+		ExplorationFloor: 1.0 / steps,
+		BootstrapSpike:   8,
+	}, rng.Split())
+	batch := &rl.Batch{}
+	for e := 0; e < envs; e++ {
+		obs := make([]float64, width)
+		for t := 0; t < steps; t++ {
+			o := append([]float64(nil), obs...)
+			a, logp, v := agent.Act(o)
+			obs[a] = 1
+			done := t == steps-1
+			reward := 0.0
+			if done {
+				reward = -50
+				if e%2 == 0 {
+					reward = math.Exp(float64(1 + e%5))
+				}
+			}
+			batch.Obs = append(batch.Obs, o)
+			batch.Actions = append(batch.Actions, a)
+			batch.LogProbs = append(batch.LogProbs, logp)
+			batch.Rewards = append(batch.Rewards, reward)
+			batch.Values = append(batch.Values, v)
+			batch.Dones = append(batch.Dones, done)
+		}
+	}
+	batch.ComputeGAE(1.0, 0.95)
+	agent.Update(batch) // grow the learner's scratch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agent.Update(batch)
 	}
 }

@@ -1,9 +1,21 @@
 // Package nn is a minimal neural-network library sufficient for the PPO
 // agent: dense layers with manual backpropagation, tanh/ReLU activations,
 // softmax utilities for categorical policies, Xavier initialization, and
-// the Adam optimizer. Everything is float64 and allocation-conscious; the
-// networks involved are small (a few hundred units), so clarity wins over
-// vectorization tricks.
+// the Adam optimizer. Everything is float64 and allocation-conscious.
+//
+// The dense kernels run a minibatch at a time (MLP.ForwardBatch and
+// MLP.BackwardBatch; Forward and Backward are their one-sample case) and
+// are blocked four samples or four inputs at a time for independent
+// accumulator chains. Blocking never changes a result bit, because every
+// kernel keeps one summation order:
+//   - each output is the bias plus its products in input order;
+//   - each input gradient is zero plus its products in output order;
+//   - each W.Grad and B.Grad element adds the samples' terms in
+//     minibatch order to its current value;
+//   - every step has the acc += a*b shape, so where the compiler fuses
+//     multiply-adds it fuses them the same way in every path.
+//
+// A minibatch therefore trains exactly as its samples would one by one.
 package nn
 
 import (
@@ -82,33 +94,148 @@ func (l *Linear) ScaleWeights(f float64) {
 	}
 }
 
-func (l *Linear) forward(x, y []float64) {
-	for o := 0; o < l.Out; o++ {
-		s := l.B.Val[o]
-		row := l.W.Val[o*l.In : (o+1)*l.In]
-		for i, xv := range x {
-			s += row[i] * xv
+// forward computes y = W x + b for n inputs stored row-major in x (n ×
+// In), writing n × Out outputs to y. Four samples go through each weight
+// row together, giving four independent accumulator chains; each chain
+// starts at the bias and adds the products in input order.
+func (l *Linear) forward(x, y []float64, n int) {
+	in, out := l.In, l.Out
+	s := 0
+	for ; s+4 <= n; s += 4 {
+		x0 := x[s*in : (s+1)*in]
+		x1 := x[(s+1)*in : (s+2)*in]
+		x2 := x[(s+2)*in : (s+3)*in]
+		x3 := x[(s+3)*in : (s+4)*in]
+		for o := 0; o < out; o++ {
+			row := l.W.Val[o*in : (o+1)*in]
+			x0, x1, x2, x3 := x0[:len(row)], x1[:len(row)], x2[:len(row)], x3[:len(row)]
+			b := l.B.Val[o]
+			a0, a1, a2, a3 := b, b, b, b
+			for i, w := range row {
+				a0 += w * x0[i]
+				a1 += w * x1[i]
+				a2 += w * x2[i]
+				a3 += w * x3[i]
+			}
+			y[s*out+o] = a0
+			y[(s+1)*out+o] = a1
+			y[(s+2)*out+o] = a2
+			y[(s+3)*out+o] = a3
 		}
-		y[o] = s
+	}
+	for ; s < n; s++ {
+		xs := x[s*in : (s+1)*in]
+		for o := 0; o < out; o++ {
+			row := l.W.Val[o*in : (o+1)*in]
+			xs := xs[:len(row)]
+			a := l.B.Val[o]
+			for i, w := range row {
+				a += w * xs[i]
+			}
+			y[s*out+o] = a
+		}
 	}
 }
 
-// backward accumulates parameter gradients given the layer input x and the
-// upstream gradient gy, and writes the input gradient into gx (if gx is
-// non-nil).
-func (l *Linear) backward(x, gy, gx []float64) {
-	for o := 0; o < l.Out; o++ {
-		g := gy[o]
-		l.B.Grad[o] += g
-		row := l.W.Grad[o*l.In : (o+1)*l.In]
-		wrow := l.W.Val[o*l.In : (o+1)*l.In]
-		for i, xv := range x {
-			row[i] += g * xv
-			if gx != nil {
-				gx[i] += g * wrow[i]
+// accumulateGrads adds the parameter gradients of n samples, given their
+// layer inputs x (n × In) and upstream gradients gy (n × Out), to B.Grad
+// and W.Grad. Every element is summed over the samples in order, starting
+// from its current value. The weight gradient runs over transposed copies
+// of gy and x held in b, four inputs at a time.
+func (l *Linear) accumulateGrads(b *Batch, x, gy []float64, n int) {
+	in, out := l.In, l.Out
+	gyT := transpose(b.gyT[:n*out], gy, n, out)
+	xT := transpose(b.xT[:n*in], x, n, in)
+	for o := 0; o < out; o++ {
+		g := gyT[o*n : (o+1)*n]
+		bg := l.B.Grad[o]
+		for _, v := range g {
+			bg += v
+		}
+		l.B.Grad[o] = bg
+		row := l.W.Grad[o*in : (o+1)*in]
+		i := 0
+		for ; i+4 <= in; i += 4 {
+			x0 := xT[i*n : (i+1)*n][:len(g)]
+			x1 := xT[(i+1)*n : (i+2)*n][:len(g)]
+			x2 := xT[(i+2)*n : (i+3)*n][:len(g)]
+			x3 := xT[(i+3)*n : (i+4)*n][:len(g)]
+			a0, a1, a2, a3 := row[i], row[i+1], row[i+2], row[i+3]
+			for s, v := range g {
+				a0 += v * x0[s]
+				a1 += v * x1[s]
+				a2 += v * x2[s]
+				a3 += v * x3[s]
+			}
+			row[i], row[i+1], row[i+2], row[i+3] = a0, a1, a2, a3
+		}
+		for ; i < in; i++ {
+			xi := xT[i*n : (i+1)*n][:len(g)]
+			a := row[i]
+			for s, v := range g {
+				a += v * xi[s]
+			}
+			row[i] = a
+		}
+	}
+}
+
+// inputGrad writes the input gradients gx = Wᵀ gy of n samples (n × In)
+// from their upstream gradients gy (n × Out). Each element is a sum over
+// outputs in order, starting from zero. Blocks of four samples read a
+// transposed copy of W held in b, giving four independent accumulators
+// per input; the remaining samples stream the weight rows directly.
+func (l *Linear) inputGrad(b *Batch, gy, gx []float64, n int) {
+	in, out := l.In, l.Out
+	s := 0
+	if n >= 4 {
+		wT := transpose(b.wT[:in*out], l.W.Val, out, in)
+		for ; s+4 <= n; s += 4 {
+			g0 := gy[s*out : (s+1)*out]
+			g1 := gy[(s+1)*out : (s+2)*out]
+			g2 := gy[(s+2)*out : (s+3)*out]
+			g3 := gy[(s+3)*out : (s+4)*out]
+			for i := 0; i < in; i++ {
+				col := wT[i*out : (i+1)*out]
+				g0, g1, g2, g3 := g0[:len(col)], g1[:len(col)], g2[:len(col)], g3[:len(col)]
+				var a0, a1, a2, a3 float64
+				for o, w := range col {
+					a0 += g0[o] * w
+					a1 += g1[o] * w
+					a2 += g2[o] * w
+					a3 += g3[o] * w
+				}
+				gx[s*in+i] = a0
+				gx[(s+1)*in+i] = a1
+				gx[(s+2)*in+i] = a2
+				gx[(s+3)*in+i] = a3
 			}
 		}
 	}
+	for ; s < n; s++ {
+		dst := gx[s*in : (s+1)*in]
+		for i := range dst {
+			dst[i] = 0
+		}
+		for o, g := range gy[s*out : (s+1)*out] {
+			row := l.W.Val[o*in : (o+1)*in]
+			dst := dst[:len(row)]
+			for i, w := range row {
+				dst[i] += g * w
+			}
+		}
+	}
+}
+
+// transpose writes the cols × rows transpose of the row-major rows × cols
+// matrix src into dst and returns dst.
+func transpose(dst, src []float64, rows, cols int) []float64 {
+	for r := 0; r < rows; r++ {
+		for c, v := range src[r*cols : (r+1)*cols] {
+			dst[c*rows+r] = v
+		}
+	}
+	return dst
 }
 
 // MLP is a multi-layer perceptron: hidden dense layers with a shared
@@ -116,9 +243,50 @@ func (l *Linear) backward(x, gy, gx []float64) {
 type MLP struct {
 	layers []*Linear
 	act    Activation
-	// scratch buffers sized per layer, reused across calls.
-	outs  [][]float64 // outs[k] = post-activation output of layer k (pre-activation for last)
-	grads [][]float64
+	one    Batch // scratch of the single-sample Forward and Backward
+}
+
+// Batch is caller-owned scratch for one minibatch of an MLP: the
+// activations ForwardBatch caches for BackwardBatch, the gradient rows
+// passed between layers, and the transposed copies the gradient kernels
+// read. The zero Batch is ready to use. It grows to the largest
+// minibatch and network it has seen, so steady-state calls allocate
+// nothing.
+type Batch struct {
+	n           int
+	outs        [][]float64 // outs[k]: n × layer k's Out, post-activation (pre-activation for the last layer)
+	grad        [2][]float64
+	xT, gyT, wT []float64
+}
+
+// reserve sizes b for n samples of m.
+func (b *Batch) reserve(m *MLP, n int) {
+	b.n = n
+	if len(b.outs) != len(m.layers) {
+		b.outs = make([][]float64, len(m.layers))
+	}
+	width, area := 0, 0
+	for k, l := range m.layers {
+		b.outs[k] = grow(b.outs[k], n*l.Out)
+		width = max(width, l.In, l.Out)
+		area = max(area, l.In*l.Out)
+	}
+	b.grad[0] = grow(b.grad[0], n*width)
+	b.grad[1] = grow(b.grad[1], n*width)
+	b.xT = grow(b.xT, n*width)
+	b.gyT = grow(b.gyT, n*width)
+	if n >= 4 { // only inputGrad's four-sample blocks read the transpose of W
+		b.wT = grow(b.wT, area)
+	}
+}
+
+// grow returns s resliced to length n, reallocating only when its
+// capacity is short.
+func grow(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // NewMLP builds an MLP with the given layer sizes, e.g. sizes =
@@ -131,12 +299,6 @@ func NewMLP(sizes []int, act Activation, rng *prng.Source) *MLP {
 	m := &MLP{act: act}
 	for i := 0; i+1 < len(sizes); i++ {
 		m.layers = append(m.layers, NewLinear(sizes[i], sizes[i+1], rng))
-	}
-	m.outs = make([][]float64, len(m.layers))
-	m.grads = make([][]float64, len(m.layers))
-	for i, l := range m.layers {
-		m.outs[i] = make([]float64, l.Out)
-		m.grads[i] = make([]float64, l.In)
 	}
 	return m
 }
@@ -153,20 +315,7 @@ func (m *MLP) OutSize() int { return m.layers[len(m.layers)-1].Out }
 // Forward evaluates the network and returns its output slice, which is
 // owned by the MLP and overwritten by the next call.
 func (m *MLP) Forward(x []float64) []float64 {
-	if len(x) != m.InSize() {
-		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), m.InSize()))
-	}
-	in := x
-	for k, l := range m.layers {
-		l.forward(in, m.outs[k])
-		if k < len(m.layers)-1 {
-			for i := range m.outs[k] {
-				m.outs[k][i] = m.act.apply(m.outs[k][i])
-			}
-		}
-		in = m.outs[k]
-	}
-	return m.outs[len(m.outs)-1]
+	return m.ForwardBatch(&m.one, x, 1)
 }
 
 // Backward accumulates parameter gradients for input x and upstream output
@@ -174,31 +323,64 @@ func (m *MLP) Forward(x []float64) []float64 {
 // activation caches, so it does not require a preceding Forward call with
 // the same x.
 func (m *MLP) Backward(x, gradOut []float64) {
-	m.Forward(x)
-	n := len(m.layers)
+	m.ForwardBatch(&m.one, x, 1)
+	m.BackwardBatch(&m.one, x, gradOut)
+}
+
+// ForwardBatch evaluates the network on n inputs stored row-major in x
+// (n × InSize) and returns the n × OutSize outputs, row-major. It caches
+// every layer's activations in b for BackwardBatch; the returned slice
+// is owned by b and overwritten by its next use.
+func (m *MLP) ForwardBatch(b *Batch, x []float64, n int) []float64 {
+	if len(x) != n*m.InSize() {
+		panic(fmt.Sprintf("nn: input size %d, want %d × %d", len(x), n, m.InSize()))
+	}
+	b.reserve(m, n)
+	in := x
+	for k, l := range m.layers {
+		out := b.outs[k]
+		l.forward(in, out, n)
+		if k < len(m.layers)-1 {
+			for i, v := range out {
+				out[i] = m.act.apply(v)
+			}
+		}
+		in = out
+	}
+	return in
+}
+
+// BackwardBatch accumulates the parameter gradients of the minibatch
+// that the preceding ForwardBatch call on b evaluated, given the same
+// inputs x and the upstream output gradients gradOut (n × OutSize,
+// row-major). It reuses the activations cached in b, so nothing is
+// evaluated twice.
+func (m *MLP) BackwardBatch(b *Batch, x, gradOut []float64) {
+	n := b.n
+	if len(x) != n*m.InSize() || len(gradOut) != n*m.OutSize() {
+		panic(fmt.Sprintf("nn: backward on %d inputs and %d output gradients, want %d × %d and %d × %d",
+			len(x), len(gradOut), n, m.InSize(), n, m.OutSize()))
+	}
 	gy := gradOut
-	for k := n - 1; k >= 0; k-- {
-		var in []float64
+	for k := len(m.layers) - 1; k >= 0; k-- {
+		l := m.layers[k]
+		in := x
+		if k > 0 {
+			in = b.outs[k-1]
+		}
+		l.accumulateGrads(b, in, gy, n)
 		if k == 0 {
-			in = x
-		} else {
-			in = m.outs[k-1]
+			break
 		}
-		var gx []float64
-		if k > 0 {
-			gx = m.grads[k]
-			for i := range gx {
-				gx[i] = 0
-			}
+		// Layers alternate between the two gradient buffers, so gx
+		// never aliases gy.
+		gx := b.grad[k&1][:n*l.In]
+		l.inputGrad(b, gy, gx, n)
+		// Chain through the activation of the previous layer.
+		for i, y := range in {
+			gx[i] *= m.act.derivFromOut(y)
 		}
-		m.layers[k].backward(in, gy, gx)
-		if k > 0 {
-			// Chain through the activation of the previous layer.
-			for i := range gx {
-				gx[i] *= m.act.derivFromOut(m.outs[k-1][i])
-			}
-			gy = gx
-		}
+		gy = gx
 	}
 }
 

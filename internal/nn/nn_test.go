@@ -12,7 +12,7 @@ func TestLinearForwardKnownValues(t *testing.T) {
 	copy(l.W.Val, []float64{1, 2, 3, 4}) // rows: [1 2], [3 4]
 	copy(l.B.Val, []float64{0.5, -0.5})
 	y := make([]float64, 2)
-	l.forward([]float64{1, -1}, y)
+	l.forward([]float64{1, -1}, y, 1)
 	if math.Abs(y[0]-(-0.5)) > 1e-12 || math.Abs(y[1]-(-1.5)) > 1e-12 {
 		t.Errorf("forward = %v, want [-0.5 -1.5]", y)
 	}

@@ -95,6 +95,16 @@ type Agent struct {
 	rng    *prng.Source
 	raw    []float64 // scratch: softmax of logits
 	probs  []float64 // scratch: mixture distribution actually played
+	logp   []float64 // scratch: floored log of probs
+
+	// Update scratch: the networks' parameters and minibatch buffers,
+	// the shuffled batch order, and one minibatch's observations and
+	// per-sample output gradients, row-major.
+	pParams, vParams []nn.Param
+	pBatch, vBatch   nn.Batch
+	order            []int
+	mbObs            []float64
+	pGrad, vGrad     []float64
 }
 
 var _ rl.Agent = (*Agent)(nil)
@@ -112,6 +122,7 @@ func New(obsSize, numActions int, cfg Config, rng *prng.Source) *Agent {
 		rng:    rng,
 		raw:    make([]float64, numActions),
 		probs:  make([]float64, numActions),
+		logp:   make([]float64, numActions),
 	}
 	// Small policy head => near-uniform initial policy (standard PPO
 	// initialization), optionally sharpened by a bootstrap spike on one
@@ -121,8 +132,13 @@ func New(obsSize, numActions int, cfg Config, rng *prng.Source) *Agent {
 		out := a.policy.OutputLayer()
 		out.B.Val[rng.Intn(numActions)] += cfg.BootstrapSpike
 	}
-	a.pOpt = nn.NewAdam(a.policy.Params(), cfg.LearningRate)
-	a.vOpt = nn.NewAdam(a.value.Params(), cfg.LearningRate)
+	a.pParams = a.policy.Params()
+	a.vParams = a.value.Params()
+	a.pOpt = nn.NewAdam(a.pParams, cfg.LearningRate)
+	a.vOpt = nn.NewAdam(a.vParams, cfg.LearningRate)
+	a.mbObs = make([]float64, cfg.MinibatchSize*obsSize)
+	a.pGrad = make([]float64, cfg.MinibatchSize*numActions)
+	a.vGrad = make([]float64, cfg.MinibatchSize)
 	return a
 }
 
@@ -187,9 +203,8 @@ func (a *Agent) Respike(spike float64) {
 }
 
 // dist fills a.raw with softmax(logits) and a.probs with the played
-// mixture distribution for obs.
-func (a *Agent) dist(obs []float64) {
-	logits := a.policy.Forward(obs)
+// mixture distribution.
+func (a *Agent) dist(logits []float64) {
 	nn.Softmax(logits, a.raw)
 	eps := a.cfg.ExplorationFloor
 	k := float64(len(a.raw))
@@ -201,7 +216,7 @@ func (a *Agent) dist(obs []float64) {
 // Act implements rl.Agent: samples from the categorical policy (with the
 // exploration floor mixed in).
 func (a *Agent) Act(obs []float64) (int, float64, float64) {
-	a.dist(obs)
+	a.dist(a.policy.Forward(obs))
 	action := nn.SampleCategorical(a.probs, a.rng)
 	logp := nn.LogProb(a.probs, action)
 	v := a.value.Forward(obs)[0]
@@ -218,7 +233,7 @@ func (a *Agent) ActGreedy(obs []float64) int {
 // Probs returns the current action distribution for obs (copy), including
 // the exploration floor.
 func (a *Agent) Probs(obs []float64) []float64 {
-	a.dist(obs)
+	a.dist(a.policy.Forward(obs))
 	return append([]float64(nil), a.probs...)
 }
 
@@ -228,54 +243,75 @@ func (a *Agent) Value(obs []float64) float64 {
 }
 
 // Update implements rl.Agent: runs Epochs of minibatch SGD with the
-// clipped surrogate objective on the batch.
+// clipped surrogate objective on the batch. Each minibatch goes through
+// each network as one ForwardBatch and one BackwardBatch, which train
+// exactly as its samples would one at a time (see package nn). Update
+// allocates nothing once its scratch has grown to the batch size.
 func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
 	b.NormalizeAdvantages()
 	n := b.Len()
 	var stats rl.UpdateStats
 	var updates int
 
-	pParams := a.policy.Params()
-	vParams := a.value.Params()
-	gradOut := make([]float64, a.policy.OutSize())
+	obsSize := a.policy.InSize()
+	k := a.policy.OutSize()
+	if cap(a.order) < n {
+		a.order = make([]int, n)
+	}
+	order := a.order[:n]
+	oneMinusEps := 1 - a.cfg.ExplorationFloor
 
 	for epoch := 0; epoch < a.cfg.Epochs; epoch++ {
-		order := rl.Shuffle(n, a.rng)
+		rl.ShuffleInto(order, a.rng)
 		for start := 0; start < n; start += a.cfg.MinibatchSize {
 			end := start + a.cfg.MinibatchSize
 			if end > n {
 				end = n
 			}
 			mb := order[start:end]
-			mbN := float64(len(mb))
+			m := len(mb)
+			mbN := float64(m)
 
-			nn.ZeroGrad(pParams)
-			nn.ZeroGrad(vParams)
+			x := a.mbObs[:m*obsSize]
+			for r, i := range mb {
+				if len(b.Obs[i]) != obsSize {
+					panic(fmt.Sprintf("ppo: observation %d has width %d, want %d", i, len(b.Obs[i]), obsSize))
+				}
+				copy(x[r*obsSize:], b.Obs[i])
+			}
+			logits := a.policy.ForwardBatch(&a.pBatch, x, m)
+			values := a.value.ForwardBatch(&a.vBatch, x, m)
+
 			var policyLoss, valueLoss, entropy, clipped float64
-
-			for _, i := range mb {
-				obs := b.Obs[i]
+			for r, i := range mb {
 				act := b.Actions[i]
 				adv := b.Advantages[i]
 				oldLogp := b.LogProbs[i]
 
-				a.dist(obs)
-				logp := nn.LogProb(a.probs, act)
+				// One floored log per action serves the log-probability
+				// (as nn.LogProb), the entropy (as nn.Entropy, whose
+				// terms lie above the floor) and the entropy gradient.
+				a.dist(logits[r*k : (r+1)*k])
+				var ent float64
+				for j, p := range a.probs {
+					lp := math.Log(math.Max(p, 1e-12))
+					a.logp[j] = lp
+					if p > 1e-12 {
+						ent -= p * lp
+					}
+				}
+				logp := a.logp[act]
 				ratio := math.Exp(logp - oldLogp)
 
 				// Clipped surrogate: L = -min(r*A, clip(r)*A).
 				unclipped := ratio * adv
 				clipRatio := clamp(ratio, 1-a.cfg.ClipRange, 1+a.cfg.ClipRange)
 				clippedObj := clipRatio * adv
-				var useUnclipped bool
-				if unclipped <= clippedObj {
-					useUnclipped = true
-				}
+				useUnclipped := unclipped <= clippedObj
 				if !useUnclipped {
 					clipped++
 				}
 				policyLoss += -math.Min(unclipped, clippedObj)
-				ent := nn.Entropy(a.probs)
 				entropy += ent
 
 				// Gradient wrt logits through the mixture
@@ -285,7 +321,7 @@ func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
 				// The clipped branch has zero policy gradient. The
 				// entropy bonus adds -entCoef·dH/dlogit_l with
 				// dH/dlogit_l = -(1-ε)·p_l·[(logπ_l+1) - Σ_j p_j(logπ_j+1)].
-				oneMinusEps := 1 - a.cfg.ExplorationFloor
+				gradOut := a.pGrad[r*k : (r+1)*k]
 				for j := range gradOut {
 					gradOut[j] = 0
 				}
@@ -301,26 +337,27 @@ func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
 					}
 				}
 				var dot float64
-				for j := range a.raw {
-					lp := math.Log(math.Max(a.probs[j], 1e-12))
-					dot += a.raw[j] * (lp + 1)
+				for j, p := range a.raw {
+					dot += p * (a.logp[j] + 1)
 				}
 				for j := range gradOut {
-					lp := math.Log(math.Max(a.probs[j], 1e-12))
-					dH := -oneMinusEps * a.raw[j] * ((lp + 1) - dot)
+					dH := -oneMinusEps * a.raw[j] * ((a.logp[j] + 1) - dot)
 					gradOut[j] -= a.cfg.EntropyCoef * dH / mbN
 				}
-				a.policy.Backward(obs, gradOut)
 
 				// Value loss: 0.5 * (V - R)^2.
-				v := a.value.Forward(obs)[0]
-				dv := v - b.Returns[i]
+				dv := values[r] - b.Returns[i]
 				valueLoss += 0.5 * dv * dv
-				a.value.Backward(obs, []float64{a.cfg.ValueCoef * dv / mbN})
+				a.vGrad[r] = a.cfg.ValueCoef * dv / mbN
 			}
 
-			gn := nn.ClipGradNorm(pParams, a.cfg.MaxGradNorm)
-			nn.ClipGradNorm(vParams, a.cfg.MaxGradNorm)
+			nn.ZeroGrad(a.pParams)
+			nn.ZeroGrad(a.vParams)
+			a.policy.BackwardBatch(&a.pBatch, x, a.pGrad[:m*k])
+			a.value.BackwardBatch(&a.vBatch, x, a.vGrad[:m])
+
+			gn := nn.ClipGradNorm(a.pParams, a.cfg.MaxGradNorm)
+			nn.ClipGradNorm(a.vParams, a.cfg.MaxGradNorm)
 			a.pOpt.Step()
 			a.vOpt.Step()
 

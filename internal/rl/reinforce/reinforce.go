@@ -6,6 +6,7 @@
 package reinforce
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/nn"
@@ -47,7 +48,19 @@ type Agent struct {
 	vOpt   *nn.Adam
 	rng    *prng.Source
 	probs  []float64
+
+	// Update scratch: the networks' parameters and minibatch buffers,
+	// and one chunk's observations and per-sample output gradients,
+	// row-major.
+	pParams, vParams []nn.Param
+	pBatch, vBatch   nn.Batch
+	obs              []float64
+	pGrad, vGrad     []float64
 }
+
+// chunkSize is the number of samples Update runs through the networks
+// at once (PPO's default minibatch size).
+const chunkSize = 64
 
 var _ rl.Agent = (*Agent)(nil)
 
@@ -64,8 +77,13 @@ func New(obsSize, numActions int, cfg Config, rng *prng.Source) *Agent {
 		probs:  make([]float64, numActions),
 	}
 	a.policy.OutputLayer().ScaleWeights(0.01)
-	a.pOpt = nn.NewAdam(a.policy.Params(), cfg.LearningRate)
-	a.vOpt = nn.NewAdam(a.value.Params(), cfg.LearningRate)
+	a.pParams = a.policy.Params()
+	a.vParams = a.value.Params()
+	a.pOpt = nn.NewAdam(a.pParams, cfg.LearningRate)
+	a.vOpt = nn.NewAdam(a.vParams, cfg.LearningRate)
+	a.obs = make([]float64, chunkSize*obsSize)
+	a.pGrad = make([]float64, chunkSize*numActions)
+	a.vGrad = make([]float64, chunkSize)
 	return a
 }
 
@@ -83,47 +101,61 @@ func (a *Agent) ActGreedy(obs []float64) int {
 }
 
 // Update implements rl.Agent: a single full-batch policy-gradient step
-// using the GAE advantages as the score weights.
+// using the GAE advantages as the score weights. The batch goes through
+// the networks in chunks of chunkSize samples; gradients accumulate
+// across chunks in sample order, so the step is exactly the one the
+// samples would give one at a time (see package nn).
 func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
 	b.NormalizeAdvantages()
 	n := b.Len()
 	if n == 0 {
 		return rl.UpdateStats{}
 	}
-	pParams := a.policy.Params()
-	vParams := a.value.Params()
-	nn.ZeroGrad(pParams)
-	nn.ZeroGrad(vParams)
-	gradOut := make([]float64, a.policy.OutSize())
+	nn.ZeroGrad(a.pParams)
+	nn.ZeroGrad(a.vParams)
+	obsSize := a.policy.InSize()
+	k := a.policy.OutSize()
 	var stats rl.UpdateStats
 	fn := float64(n)
-	for i := 0; i < n; i++ {
-		obs := b.Obs[i]
-		act := b.Actions[i]
-		adv := b.Advantages[i]
-		logits := a.policy.Forward(obs)
-		nn.Softmax(logits, a.probs)
-		stats.PolicyLoss += -nn.LogProb(a.probs, act) * adv
-		ent := nn.Entropy(a.probs)
-		stats.Entropy += ent
-		for j := range gradOut {
-			ind := 0.0
-			if j == act {
-				ind = 1.0
+	for start := 0; start < n; start += chunkSize {
+		m := min(chunkSize, n-start)
+		x := a.obs[:m*obsSize]
+		for r, o := range b.Obs[start : start+m] {
+			if len(o) != obsSize {
+				panic(fmt.Sprintf("reinforce: observation %d has width %d, want %d", start+r, len(o), obsSize))
 			}
-			gradOut[j] = -adv * (ind - a.probs[j]) / fn
-			lp := math.Log(math.Max(a.probs[j], 1e-12))
-			gradOut[j] -= a.cfg.EntropyCoef * (-a.probs[j] * (lp + ent)) / fn
+			copy(x[r*obsSize:], o)
 		}
-		a.policy.Backward(obs, gradOut)
+		logits := a.policy.ForwardBatch(&a.pBatch, x, m)
+		values := a.value.ForwardBatch(&a.vBatch, x, m)
+		for r := 0; r < m; r++ {
+			i := start + r
+			act := b.Actions[i]
+			adv := b.Advantages[i]
+			nn.Softmax(logits[r*k:(r+1)*k], a.probs)
+			stats.PolicyLoss += -nn.LogProb(a.probs, act) * adv
+			ent := nn.Entropy(a.probs)
+			stats.Entropy += ent
+			gradOut := a.pGrad[r*k : (r+1)*k]
+			for j := range gradOut {
+				ind := 0.0
+				if j == act {
+					ind = 1.0
+				}
+				gradOut[j] = -adv * (ind - a.probs[j]) / fn
+				lp := math.Log(math.Max(a.probs[j], 1e-12))
+				gradOut[j] -= a.cfg.EntropyCoef * (-a.probs[j] * (lp + ent)) / fn
+			}
 
-		v := a.value.Forward(obs)[0]
-		dv := v - b.Returns[i]
-		stats.ValueLoss += 0.5 * dv * dv
-		a.value.Backward(obs, []float64{dv / fn})
+			dv := values[r] - b.Returns[i]
+			stats.ValueLoss += 0.5 * dv * dv
+			a.vGrad[r] = dv / fn
+		}
+		a.policy.BackwardBatch(&a.pBatch, x, a.pGrad[:m*k])
+		a.value.BackwardBatch(&a.vBatch, x, a.vGrad[:m])
 	}
-	stats.GradNorm = nn.ClipGradNorm(pParams, a.cfg.MaxGradNorm)
-	nn.ClipGradNorm(vParams, a.cfg.MaxGradNorm)
+	stats.GradNorm = nn.ClipGradNorm(a.pParams, a.cfg.MaxGradNorm)
+	nn.ClipGradNorm(a.vParams, a.cfg.MaxGradNorm)
 	a.pOpt.Step()
 	a.vOpt.Step()
 	stats.PolicyLoss /= fn

@@ -249,10 +249,9 @@ func (r *Runner) CollectEpisodes(episodesPerEnv int) (*Batch, []EpisodeResult, e
 	return &out, episodes, nil
 }
 
-// Shuffle produces a permutation of batch indices using rng, for minibatch
-// sampling.
-func Shuffle(n int, rng *prng.Source) []int {
-	idx := make([]int, n)
+// ShuffleInto fills the caller-owned idx with a permutation of the batch
+// indices 0..len(idx)-1 drawn from rng (exactly rng.Perm's draws), for
+// minibatch sampling.
+func ShuffleInto(idx []int, rng *prng.Source) {
 	rng.Perm(idx)
-	return idx
 }

@@ -182,7 +182,8 @@ func TestNewRunnerPanicsWithoutEnvs(t *testing.T) {
 }
 
 func TestShuffleIsPermutation(t *testing.T) {
-	idx := Shuffle(100, prng.New(3))
+	idx := make([]int, 100)
+	ShuffleInto(idx, prng.New(3))
 	seen := make([]bool, 100)
 	for _, i := range idx {
 		if i < 0 || i >= 100 || seen[i] {
