@@ -28,12 +28,13 @@ race:
 	$(GO) test -race -short ./...
 
 # Engine benchmarks (campaign, oracle, per-cipher fork kernels, DFA key
-# recovery, atlas sweeps, the PPO learner step), 5 repetitions averaged
-# into $(BENCH_OUT) under label $(BENCH_LABEL). Run with
+# recovery, atlas sweeps, the PPO learner step, a training-only
+# discovery), 5 repetitions averaged into $(BENCH_OUT) under label
+# $(BENCH_LABEL). Run with
 # BENCH_LABEL=before on the parent commit to record a baseline; entries
 # of other labels in an existing file are preserved.
 bench:
-	$(GO) test -run '^$$' -bench 'Campaign|Oracle|Encrypt|DFA|Sweep|PPOUpdate' -benchmem -count 5 . \
+	$(GO) test -run '^$$' -bench 'Campaign|Oracle|Encrypt|DFA|Sweep|PPOUpdate|Discover' -benchmem -count 5 . \
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -o $(BENCH_OUT)
 
 # Every benchmark in the repo, including the paper-table harness runs.

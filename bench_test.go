@@ -713,3 +713,30 @@ func BenchmarkPPOUpdate(b *testing.B) {
 		agent.Update(batch)
 	}
 }
+
+// BenchmarkDiscover measures end-to-end training rate at the benchmark
+// workload's shape without its harvest: Discover on gift64 round 25 with
+// 8 envs and 512 samples, a fixed 48-episode budget (six PPO updates),
+// reported as episodes/min over the whole call, session set-up included.
+func BenchmarkDiscover(b *testing.B) {
+	const episodes = 48
+	cfg := explorefault.DiscoverConfig{
+		Cipher:      "gift64",
+		Round:       25,
+		Episodes:    episodes,
+		NumEnvs:     8,
+		Samples:     512,
+		Seed:        2023,
+		SkipHarvest: true,
+	}
+	for i := 0; i < b.N; i++ {
+		res, err := explorefault.Discover(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Episodes != episodes {
+			b.Fatalf("trained %d episodes, want %d", res.Episodes, episodes)
+		}
+	}
+	b.ReportMetric(float64(episodes*b.N)/b.Elapsed().Minutes(), "episodes/min")
+}

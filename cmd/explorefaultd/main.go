@@ -44,6 +44,16 @@ import (
 	explorefault "repro"
 )
 
+// Request header limits: a client has readHeaderTimeout to send its
+// request line and headers, and at most maxHeaderBytes of them, so a
+// slow or oversized header cannot hold a connection open. ReadTimeout
+// and WriteTimeout stay unset: an SSE event stream is one long-lived
+// response, which a whole-request deadline would cut off mid-job.
+// readHeaderTimeout is a variable so tests can shorten it.
+var readHeaderTimeout = 5 * time.Second
+
+const maxHeaderBytes = 64 << 10
+
 func main() {
 	// First SIGINT/SIGTERM starts a graceful shutdown: in-flight jobs
 	// stop at their next engine boundary with checkpoints written, and
@@ -106,7 +116,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		srv.Close()
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 	fmt.Fprintf(stdout, "explorefaultd listening on http://%s (data %s, %d workers)\n",
 		ln.Addr(), *dataDir, *workers)
 

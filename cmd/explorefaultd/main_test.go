@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -219,5 +220,93 @@ func (w *lineWriter) Write(p []byte) (int, error) {
 		default:
 		}
 		w.buf = w.buf[i+1:]
+	}
+}
+
+// startDaemon runs the daemon on an ephemeral port until the test ends
+// and returns its host:port.
+func startDaemon(t *testing.T) string {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	pr, pw := newLinePipe()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", "localhost:0", "-data", t.TempDir(), "-workers", "1"}, pw, &bytes.Buffer{})
+	}()
+	t.Cleanup(func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("daemon shutdown: %v", err)
+		}
+	})
+	select {
+	case line := <-pr:
+		i := strings.Index(line, "http://")
+		if i < 0 {
+			t.Fatalf("no address in startup line %q", line)
+		}
+		return strings.TrimPrefix(strings.Fields(line[i:])[0], "http://")
+	case err := <-done:
+		t.Fatalf("daemon exited early: %v", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon never announced its address")
+	}
+	return ""
+}
+
+// TestRunDropsSlowHeaderClient: a client that sends half a request line
+// and then stalls is disconnected once the header timeout passes (net/http
+// may first answer the partial request with a 400), and the daemon keeps
+// serving others.
+func TestRunDropsSlowHeaderClient(t *testing.T) {
+	defer func(d time.Duration) { readHeaderTimeout = d }(readHeaderTimeout)
+	readHeaderTimeout = 200 * time.Millisecond
+	addr := startDaemon(t)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HT"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	start := time.Now()
+	got, err := io.ReadAll(conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("connection still open after %v; want it closed after the %v header timeout",
+			time.Since(start).Round(time.Millisecond), readHeaderTimeout)
+	}
+	if len(got) != 0 && !bytes.HasPrefix(got, []byte("HTTP/1.1 400 ")) {
+		t.Errorf("stalled client got %q; want the connection closed, at most with a 400", got)
+	}
+
+	resp, err := http.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("GET /healthz after the dropped client: status %d", resp.StatusCode)
+	}
+}
+
+// TestRunRejectsOversizedHeaders: request headers past maxHeaderBytes
+// get 431 instead of being buffered.
+func TestRunRejectsOversizedHeaders(t *testing.T) {
+	addr := startDaemon(t)
+	req, err := http.NewRequest(http.MethodGet, "http://"+addr+"/healthz", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Padding", strings.Repeat("a", 2*maxHeaderBytes))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestHeaderFieldsTooLarge {
+		t.Errorf("oversized headers: status %d, want %d", resp.StatusCode, http.StatusRequestHeaderFieldsTooLarge)
 	}
 }

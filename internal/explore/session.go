@@ -266,10 +266,10 @@ func (s *Session) Run(ctx context.Context) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Session span; episode spans (started by each env at Reset) and PPO
-	// update spans hang off it. Each env gets its own Perfetto lane:
-	// episodes of one env are sequential but envs step concurrently, so
-	// sharing a lane would interleave their slices.
+	// Session span; episode spans (started by each env at Reset) and the
+	// PPO update's per-network spans hang off it. Each env gets its own
+	// Perfetto lane: episodes of one env are sequential but envs step
+	// concurrently, so sharing a lane would interleave their slices.
 	sp, ctx := trace.StartSpan(ctx, trace.SpanSession)
 	defer sp.End()
 	sp.SetAttr("envs", len(s.envs))
@@ -408,12 +408,11 @@ func (s *Session) Run(ctx context.Context) (*Outcome, error) {
 				s.run.sinceLeaky = 0
 			}
 		}
-		usp, _ := trace.StartSpan(ctx, trace.SpanPPOUpdate)
-		usp.SetAttr("episodes", s.run.episodes)
+		// The update records its own ppo_update spans under the session
+		// span, one per network half (see ppo.Agent.UpdateContext).
 		updTimer := s.obs.updTime.Start()
-		stats := s.agent.Update(batch)
+		stats := s.agent.UpdateContext(ctx, batch)
 		updDur := updTimer.Stop()
-		usp.End()
 		// The update boundary is the checkpointable state: snapshot now,
 		// write periodically (and on cancellation, via cancelled above).
 		if ckptEnabled {

@@ -62,7 +62,7 @@ const (
 	SpanRun        = "run"         // one CLI invocation
 	SpanSession    = "session"     // one training session (explore.Session.Run)
 	SpanEpisode    = "episode"     // one RL episode (explore.Env)
-	SpanPPOUpdate  = "ppo_update"  // one PPO policy update
+	SpanPPOUpdate  = "ppo_update"  // one PPO update, or one network's half of it
 	SpanOracleEval = "oracle_eval" // one oracle evaluation (cache hit or miss)
 	SpanAssess     = "assess"      // one leakage assessment (evaluate.Engine)
 	SpanShard      = "shard"       // one campaign shard (evaluate.RunSharded)

@@ -7,10 +7,13 @@
 package ppo
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/nn"
+	"repro/internal/obs/trace"
 	"repro/internal/prng"
 	"repro/internal/rl"
 )
@@ -98,13 +101,23 @@ type Agent struct {
 	logp   []float64 // scratch: floored log of probs
 
 	// Update scratch: the networks' parameters and minibatch buffers,
-	// the shuffled batch order, and one minibatch's observations and
-	// per-sample output gradients, row-major.
+	// the shuffled order of every epoch, and each half's minibatch
+	// observations and per-sample output gradients, row-major.
 	pParams, vParams []nn.Param
 	pBatch, vBatch   nn.Batch
 	order            []int
-	mbObs            []float64
+	pObs, vObs       []float64
 	pGrad, vGrad     []float64
+
+	// The value half's fork and join: its context and batch are set
+	// before the fork, its mean loss is read after the join. valueHalf
+	// is the method value a.updateValue bound at New, so starting the
+	// goroutine allocates nothing.
+	vCtx      context.Context
+	vIn       *rl.Batch
+	vLoss     float64
+	valueHalf func()
+	vDone     sync.WaitGroup
 }
 
 var _ rl.Agent = (*Agent)(nil)
@@ -136,9 +149,11 @@ func New(obsSize, numActions int, cfg Config, rng *prng.Source) *Agent {
 	a.vParams = a.value.Params()
 	a.pOpt = nn.NewAdam(a.pParams, cfg.LearningRate)
 	a.vOpt = nn.NewAdam(a.vParams, cfg.LearningRate)
-	a.mbObs = make([]float64, cfg.MinibatchSize*obsSize)
+	a.pObs = make([]float64, cfg.MinibatchSize*obsSize)
+	a.vObs = make([]float64, cfg.MinibatchSize*obsSize)
 	a.pGrad = make([]float64, cfg.MinibatchSize*numActions)
 	a.vGrad = make([]float64, cfg.MinibatchSize)
+	a.valueHalf = a.updateValue
 	return a
 }
 
@@ -243,141 +258,224 @@ func (a *Agent) Value(obs []float64) float64 {
 }
 
 // Update implements rl.Agent: runs Epochs of minibatch SGD with the
-// clipped surrogate objective on the batch. Each minibatch goes through
-// each network as one ForwardBatch and one BackwardBatch, which train
-// exactly as its samples would one at a time (see package nn). Update
-// allocates nothing once its scratch has grown to the batch size.
+// clipped surrogate objective on the batch. It is UpdateContext with no
+// trace span to record under.
 func (a *Agent) Update(b *rl.Batch) rl.UpdateStats {
+	return a.UpdateContext(context.Background(), b)
+}
+
+// UpdateContext runs one update as two halves at the same time: the
+// policy network's on the calling goroutine and the value network's on
+// one helper goroutine, forked and joined once per call. The networks
+// share no parameter, gradient or sum; the halves share only the
+// read-only batch and the shuffled order of every epoch, drawn before
+// the fork in the order a one-goroutine update would draw them. Each
+// half keeps its per-minibatch summation order, so the result does not
+// depend on the schedule or on GOMAXPROCS. Each minibatch goes through
+// each network as one ForwardBatch and one BackwardBatch, which train
+// exactly as its samples would one at a time (see package nn).
+//
+// When ctx carries a trace span, each half records a ppo_update span
+// under it (attribute net: policy or value; the value half on a lane of
+// its own). UpdateContext allocates nothing once its scratch has grown
+// to the batch size.
+func (a *Agent) UpdateContext(ctx context.Context, b *rl.Batch) rl.UpdateStats {
+	// Checked before the fork: a panic on the helper goroutine could not
+	// be recovered by the caller.
+	obsSize := a.policy.InSize()
+	for i, o := range b.Obs {
+		if len(o) != obsSize {
+			panic(fmt.Sprintf("ppo: observation %d has width %d, want %d", i, len(o), obsSize))
+		}
+	}
 	b.NormalizeAdvantages()
 	n := b.Len()
-	var stats rl.UpdateStats
-	var updates int
+	if cap(a.order) < a.cfg.Epochs*n {
+		a.order = make([]int, a.cfg.Epochs*n)
+	}
+	a.order = a.order[:a.cfg.Epochs*n]
+	for epoch := 0; epoch < a.cfg.Epochs; epoch++ {
+		rl.ShuffleInto(a.order[epoch*n:(epoch+1)*n], a.rng)
+	}
 
+	a.vCtx, a.vIn = ctx, b
+	a.vDone.Add(1)
+	go a.valueHalf()
+	stats := a.updatePolicy(ctx, b)
+	a.vDone.Wait()
+	stats.ValueLoss = a.vLoss
+	a.vCtx, a.vIn = nil, nil // do not keep the batch alive between updates
+	return stats
+}
+
+// minibatches returns how many minibatches an update over n samples
+// makes: MinibatchSize-sample slices of each epoch's order, the last
+// one of an epoch possibly shorter.
+func (a *Agent) minibatches(n int) int {
+	return a.cfg.Epochs * ((n + a.cfg.MinibatchSize - 1) / a.cfg.MinibatchSize)
+}
+
+// minibatch returns the sample indices of the u-th minibatch of an
+// update over n samples.
+func (a *Agent) minibatch(n, u int) []int {
+	per := (n + a.cfg.MinibatchSize - 1) / a.cfg.MinibatchSize
+	epoch, start := u/per, (u%per)*a.cfg.MinibatchSize
+	end := min(start+a.cfg.MinibatchSize, n)
+	return a.order[epoch*n+start : epoch*n+end]
+}
+
+// gather copies the observations of minibatch mb into dst, row-major.
+func gather(dst []float64, b *rl.Batch, mb []int, obsSize int) []float64 {
+	x := dst[:len(mb)*obsSize]
+	for r, i := range mb {
+		copy(x[r*obsSize:], b.Obs[i])
+	}
+	return x
+}
+
+// updatePolicy is the policy half of an update: the clipped surrogate
+// with the entropy bonus. It fills every statistic but ValueLoss.
+func (a *Agent) updatePolicy(ctx context.Context, b *rl.Batch) rl.UpdateStats {
+	sp, _ := trace.StartSpan(ctx, trace.SpanPPOUpdate)
+	sp.SetAttr("net", "policy")
+	var stats rl.UpdateStats
+	n := b.Len()
 	obsSize := a.policy.InSize()
 	k := a.policy.OutSize()
-	if cap(a.order) < n {
-		a.order = make([]int, n)
-	}
-	order := a.order[:n]
 	oneMinusEps := 1 - a.cfg.ExplorationFloor
+	updates := a.minibatches(n)
+	for u := 0; u < updates; u++ {
+		mb := a.minibatch(n, u)
+		m := len(mb)
+		mbN := float64(m)
+		x := gather(a.pObs, b, mb, obsSize)
+		logits := a.policy.ForwardBatch(&a.pBatch, x, m)
 
-	for epoch := 0; epoch < a.cfg.Epochs; epoch++ {
-		rl.ShuffleInto(order, a.rng)
-		for start := 0; start < n; start += a.cfg.MinibatchSize {
-			end := start + a.cfg.MinibatchSize
-			if end > n {
-				end = n
+		var policyLoss, entropy, clipped float64
+		for r, i := range mb {
+			act := b.Actions[i]
+			adv := b.Advantages[i]
+			oldLogp := b.LogProbs[i]
+
+			// One floored log per action serves the log-probability
+			// (as nn.LogProb), the entropy (as nn.Entropy, whose
+			// terms lie above the floor) and the entropy gradient.
+			a.dist(logits[r*k : (r+1)*k])
+			var ent float64
+			for j, p := range a.probs {
+				lp := math.Log(math.Max(p, 1e-12))
+				a.logp[j] = lp
+				if p > 1e-12 {
+					ent -= p * lp
+				}
 			}
-			mb := order[start:end]
-			m := len(mb)
-			mbN := float64(m)
+			logp := a.logp[act]
+			ratio := math.Exp(logp - oldLogp)
 
-			x := a.mbObs[:m*obsSize]
-			for r, i := range mb {
-				if len(b.Obs[i]) != obsSize {
-					panic(fmt.Sprintf("ppo: observation %d has width %d, want %d", i, len(b.Obs[i]), obsSize))
-				}
-				copy(x[r*obsSize:], b.Obs[i])
+			// Clipped surrogate: L = -min(r*A, clip(r)*A).
+			unclipped := ratio * adv
+			clipRatio := clamp(ratio, 1-a.cfg.ClipRange, 1+a.cfg.ClipRange)
+			clippedObj := clipRatio * adv
+			useUnclipped := unclipped <= clippedObj
+			if !useUnclipped {
+				clipped++
 			}
-			logits := a.policy.ForwardBatch(&a.pBatch, x, m)
-			values := a.value.ForwardBatch(&a.vBatch, x, m)
+			policyLoss += -math.Min(unclipped, clippedObj)
+			entropy += ent
 
-			var policyLoss, valueLoss, entropy, clipped float64
-			for r, i := range mb {
-				act := b.Actions[i]
-				adv := b.Advantages[i]
-				oldLogp := b.LogProbs[i]
-
-				// One floored log per action serves the log-probability
-				// (as nn.LogProb), the entropy (as nn.Entropy, whose
-				// terms lie above the floor) and the entropy gradient.
-				a.dist(logits[r*k : (r+1)*k])
-				var ent float64
-				for j, p := range a.probs {
-					lp := math.Log(math.Max(p, 1e-12))
-					a.logp[j] = lp
-					if p > 1e-12 {
-						ent -= p * lp
-					}
-				}
-				logp := a.logp[act]
-				ratio := math.Exp(logp - oldLogp)
-
-				// Clipped surrogate: L = -min(r*A, clip(r)*A).
-				unclipped := ratio * adv
-				clipRatio := clamp(ratio, 1-a.cfg.ClipRange, 1+a.cfg.ClipRange)
-				clippedObj := clipRatio * adv
-				useUnclipped := unclipped <= clippedObj
-				if !useUnclipped {
-					clipped++
-				}
-				policyLoss += -math.Min(unclipped, clippedObj)
-				entropy += ent
-
-				// Gradient wrt logits through the mixture
-				// π_j = (1-ε)p_j + ε/K with p = softmax(logits):
-				// dπ_j/dlogit_l = (1-ε)·p_j·(δ_jl - p_l), so
-				// dlogπ_a/dlogit_l = (1-ε)·p_a·(δ_al - p_l)/π_a.
-				// The clipped branch has zero policy gradient. The
-				// entropy bonus adds -entCoef·dH/dlogit_l with
-				// dH/dlogit_l = -(1-ε)·p_l·[(logπ_l+1) - Σ_j p_j(logπ_j+1)].
-				gradOut := a.pGrad[r*k : (r+1)*k]
+			// Gradient wrt logits through the mixture
+			// π_j = (1-ε)p_j + ε/K with p = softmax(logits):
+			// dπ_j/dlogit_l = (1-ε)·p_j·(δ_jl - p_l), so
+			// dlogπ_a/dlogit_l = (1-ε)·p_a·(δ_al - p_l)/π_a.
+			// The clipped branch has zero policy gradient. The
+			// entropy bonus adds -entCoef·dH/dlogit_l with
+			// dH/dlogit_l = -(1-ε)·p_l·[(logπ_l+1) - Σ_j p_j(logπ_j+1)].
+			gradOut := a.pGrad[r*k : (r+1)*k]
+			for j := range gradOut {
+				gradOut[j] = 0
+			}
+			if useUnclipped {
+				coef := -adv * ratio / mbN * oneMinusEps * a.raw[act] /
+					math.Max(a.probs[act], 1e-12)
 				for j := range gradOut {
-					gradOut[j] = 0
-				}
-				if useUnclipped {
-					coef := -adv * ratio / mbN * oneMinusEps * a.raw[act] /
-						math.Max(a.probs[act], 1e-12)
-					for j := range gradOut {
-						ind := 0.0
-						if j == act {
-							ind = 1.0
-						}
-						gradOut[j] += coef * (ind - a.raw[j])
+					ind := 0.0
+					if j == act {
+						ind = 1.0
 					}
+					gradOut[j] += coef * (ind - a.raw[j])
 				}
-				var dot float64
-				for j, p := range a.raw {
-					dot += p * (a.logp[j] + 1)
-				}
-				for j := range gradOut {
-					dH := -oneMinusEps * a.raw[j] * ((a.logp[j] + 1) - dot)
-					gradOut[j] -= a.cfg.EntropyCoef * dH / mbN
-				}
-
-				// Value loss: 0.5 * (V - R)^2.
-				dv := values[r] - b.Returns[i]
-				valueLoss += 0.5 * dv * dv
-				a.vGrad[r] = a.cfg.ValueCoef * dv / mbN
 			}
-
-			nn.ZeroGrad(a.pParams)
-			nn.ZeroGrad(a.vParams)
-			a.policy.BackwardBatch(&a.pBatch, x, a.pGrad[:m*k])
-			a.value.BackwardBatch(&a.vBatch, x, a.vGrad[:m])
-
-			gn := nn.ClipGradNorm(a.pParams, a.cfg.MaxGradNorm)
-			nn.ClipGradNorm(a.vParams, a.cfg.MaxGradNorm)
-			a.pOpt.Step()
-			a.vOpt.Step()
-
-			stats.PolicyLoss += policyLoss / mbN
-			stats.ValueLoss += valueLoss / mbN
-			stats.Entropy += entropy / mbN
-			stats.ClipFrac += clipped / mbN
-			stats.GradNorm += gn
-			updates++
+			var dot float64
+			for j, p := range a.raw {
+				dot += p * (a.logp[j] + 1)
+			}
+			for j := range gradOut {
+				dH := -oneMinusEps * a.raw[j] * ((a.logp[j] + 1) - dot)
+				gradOut[j] -= a.cfg.EntropyCoef * dH / mbN
+			}
 		}
+
+		nn.ZeroGrad(a.pParams)
+		a.policy.BackwardBatch(&a.pBatch, x, a.pGrad[:m*k])
+		gn := nn.ClipGradNorm(a.pParams, a.cfg.MaxGradNorm)
+		a.pOpt.Step()
+
+		stats.PolicyLoss += policyLoss / mbN
+		stats.Entropy += entropy / mbN
+		stats.ClipFrac += clipped / mbN
+		stats.GradNorm += gn
 	}
 	if updates > 0 {
 		f := 1 / float64(updates)
 		stats.PolicyLoss *= f
-		stats.ValueLoss *= f
 		stats.Entropy *= f
 		stats.ClipFrac *= f
 		stats.GradNorm *= f
 	}
+	sp.End()
 	return stats
+}
+
+// updateValue is the value half of an update, run on the helper
+// goroutine UpdateContext starts: the squared-error value loss on the
+// returns of a.vIn. It leaves the mean value loss in a.vLoss.
+func (a *Agent) updateValue() {
+	defer a.vDone.Done()
+	sp, _ := trace.StartSpan(a.vCtx, trace.SpanPPOUpdate)
+	sp.OwnLane()
+	sp.SetAttr("net", "value")
+	b := a.vIn
+	n := b.Len()
+	obsSize := a.value.InSize()
+	updates := a.minibatches(n)
+	var loss float64
+	for u := 0; u < updates; u++ {
+		mb := a.minibatch(n, u)
+		m := len(mb)
+		mbN := float64(m)
+		x := gather(a.vObs, b, mb, obsSize)
+		values := a.value.ForwardBatch(&a.vBatch, x, m)
+
+		// Value loss: 0.5 * (V - R)^2.
+		var valueLoss float64
+		for r, i := range mb {
+			dv := values[r] - b.Returns[i]
+			valueLoss += 0.5 * dv * dv
+			a.vGrad[r] = a.cfg.ValueCoef * dv / mbN
+		}
+
+		nn.ZeroGrad(a.vParams)
+		a.value.BackwardBatch(&a.vBatch, x, a.vGrad[:m])
+		nn.ClipGradNorm(a.vParams, a.cfg.MaxGradNorm)
+		a.vOpt.Step()
+
+		loss += valueLoss / mbN
+	}
+	if updates > 0 {
+		loss *= 1 / float64(updates)
+	}
+	a.vLoss = loss
+	sp.End()
 }
 
 func clamp(x, lo, hi float64) float64 {

@@ -208,6 +208,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		f       *os.File
 		pending []byte // partial last line not yet terminated by \n
 		offset  int64
+		buf     = make([]byte, 64*1024) // read buffer, reused every tick
 	)
 	defer func() {
 		if f != nil {
@@ -230,7 +231,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			f, _ = os.Open(path) // appears once a worker picks the job up
 		}
 		if f != nil {
-			buf := make([]byte, 64*1024)
 			for {
 				n, err := f.ReadAt(buf, offset)
 				if n > 0 {
