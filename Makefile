@@ -4,7 +4,7 @@ BENCH_BASE ?= BENCH_pr9.json
 BENCH_LABEL ?= after
 FUZZTIME ?= 10s
 
-.PHONY: all build test check vet race bench bench-all bench-compare fuzz smoke-resume smoke-trace smoke-atlas smoke-server fmt
+.PHONY: all build test check vet race kernels bench bench-all bench-compare fuzz smoke-resume smoke-trace smoke-atlas smoke-server fmt
 
 all: build
 
@@ -15,14 +15,23 @@ build:
 test:
 	$(GO) test ./...
 
-# Fast pre-commit gate: vet + race-enabled short tests.
+# Fast pre-commit gate: vet + race-enabled short tests + the learner
+# kernels built for FMA-capable hosts.
 # Long training runs (determinism table test, full discovery sessions)
 # skip themselves under -short; the race detector still covers the
 # sharded campaign workers, the shared reference table, and the cache.
-check: vet race
+check: vet race kernels
 
+# Vetting for arm64 as well builds the non-amd64 fallback of the nn
+# lane kernels and checks the assembly declarations against it.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
+
+# The dense kernels must stay unfused where the compiler may use FMA:
+# the nn, PPO and REINFORCE tests (both kernel paths) at GOAMD64=v3.
+kernels:
+	GOAMD64=v3 $(GO) test ./internal/nn ./internal/rl/...
 
 race:
 	$(GO) test -race -short ./...
@@ -56,6 +65,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultApply$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzMLPBatchEquivalence$$' -fuzztime $(FUZZTIME) ./internal/nn
+	$(GO) test -run '^$$' -fuzz '^FuzzLaneKernelsMatchGoKernels$$' -fuzztime $(FUZZTIME) ./internal/nn
 
 # Kill-and-resume smoke: SIGINT a checkpointing discovery run mid-training,
 # verify the event log survived intact, resume, and compare against an

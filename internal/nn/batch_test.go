@@ -88,6 +88,12 @@ func FuzzMLPBatchEquivalence(f *testing.F) {
 	f.Add(uint64(2), uint8(1), uint8(2), uint8(7), true, false)
 	f.Add(uint64(3), uint8(5), uint8(1), uint8(4), false, false)
 	f.Add(uint64(4), uint8(13), uint8(2), uint8(9), true, true)
+	// Input widths 1, 7, 17 and 33, on either side of the 16-wide lane
+	// chunks, with 1, 3 and 4 rows around forward's lane threshold.
+	f.Add(uint64(5), uint8(0), uint8(1), uint8(0), false, false)
+	f.Add(uint64(6), uint8(2), uint8(2), uint8(6), true, true)
+	f.Add(uint64(7), uint8(3), uint8(0), uint8(16), false, true)
+	f.Add(uint64(8), uint8(19), uint8(2), uint8(32), true, false)
 	f.Fuzz(func(t *testing.T, seed uint64, n, depth, width uint8, relu, sparse bool) {
 		rng := prng.New(seed)
 		sizes := []int{1 + int(width)%70}

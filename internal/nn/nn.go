@@ -15,7 +15,23 @@
 //   - every step has the acc += a*b shape, so where the compiler fuses
 //     multiply-adds it fuses them the same way in every path.
 //
-// A minibatch therefore trains exactly as its samples would one by one.
+// On amd64 hosts with AVX the kernels also run sixteen elements at a
+// time through one assembly primitive, lanes16: dst[0:16] = init[0:16]
+// + Σ_j a[j]·M[j·stride : j·stride+16], each lane an accumulator that
+// adds its products in j order. The forward pass puts outputs on the
+// lanes (over a transpose of W, for n ≥ 4), the weight gradient inputs
+// (j over samples, init the current W.Grad row) and the input gradient
+// inputs (j over outputs, init zero), so each lane is one element
+// summed in the order above. The primitive multiplies and adds as two
+// rounded steps (VMULPD then VADDPD, never VFMADD), because Go emits
+// unfused MULSD and ADDSD on amd64, even at GOAMD64=v3: a fused lane
+// would round once where the Go kernels round twice and lose bit
+// equality with them. The primitive is chosen once from CPUID; other
+// hosts, other architectures and widths left over from the sixteens run
+// the Go loops.
+//
+// A minibatch therefore trains exactly as its samples would one by one,
+// on either path.
 package nn
 
 import (
@@ -95,18 +111,34 @@ func (l *Linear) ScaleWeights(f float64) {
 }
 
 // forward computes y = W x + b for n inputs stored row-major in x (n ×
-// In), writing n × Out outputs to y. Four samples go through each weight
-// row together, giving four independent accumulator chains; each chain
-// starts at the bias and adds the products in input order.
-func (l *Linear) forward(x, y []float64, n int) {
+// In), writing n × Out outputs to y. With the lane kernels on and n ≥ 4
+// (enough samples to pay for transposing W into b), outputs run sixteen
+// at a time across the lanes. The rest go through each weight row four
+// samples together, giving four independent accumulator chains. Either
+// way each output starts at the bias and adds the products in input
+// order.
+func (l *Linear) forward(b *Batch, x, y []float64, n int) {
 	in, out := l.In, l.Out
+	o0 := 0 // outputs below o0 ran on the lanes
+	if useLanes && n >= 4 {
+		o0 = out &^ 15
+	}
+	if o0 > 0 {
+		wT := transpose(b.wT[:in*out], l.W.Val, out, in)
+		for s := 0; s < n; s++ {
+			xs, ys := x[s*in:(s+1)*in], y[s*out:(s+1)*out]
+			for o := 0; o < o0; o += 16 {
+				lanes(ys[o:], l.B.Val[o:], xs, wT[o:], out)
+			}
+		}
+	}
 	s := 0
 	for ; s+4 <= n; s += 4 {
 		x0 := x[s*in : (s+1)*in]
 		x1 := x[(s+1)*in : (s+2)*in]
 		x2 := x[(s+2)*in : (s+3)*in]
 		x3 := x[(s+3)*in : (s+4)*in]
-		for o := 0; o < out; o++ {
+		for o := o0; o < out; o++ {
 			row := l.W.Val[o*in : (o+1)*in]
 			x0, x1, x2, x3 := x0[:len(row)], x1[:len(row)], x2[:len(row)], x3[:len(row)]
 			b := l.B.Val[o]
@@ -125,7 +157,7 @@ func (l *Linear) forward(x, y []float64, n int) {
 	}
 	for ; s < n; s++ {
 		xs := x[s*in : (s+1)*in]
-		for o := 0; o < out; o++ {
+		for o := o0; o < out; o++ {
 			row := l.W.Val[o*in : (o+1)*in]
 			xs := xs[:len(row)]
 			a := l.B.Val[o]
@@ -140,12 +172,21 @@ func (l *Linear) forward(x, y []float64, n int) {
 // accumulateGrads adds the parameter gradients of n samples, given their
 // layer inputs x (n × In) and upstream gradients gy (n × Out), to B.Grad
 // and W.Grad. Every element is summed over the samples in order, starting
-// from its current value. The weight gradient runs over transposed copies
-// of gy and x held in b, four inputs at a time.
+// from its current value. The weight gradient reads a transposed copy of
+// gy held in b. With the lane kernels on, inputs run sixteen at a time
+// across the lanes, reading x as it is; the rest read a transposed copy
+// of x, four inputs at a time.
 func (l *Linear) accumulateGrads(b *Batch, x, gy []float64, n int) {
 	in, out := l.In, l.Out
 	gyT := transpose(b.gyT[:n*out], gy, n, out)
-	xT := transpose(b.xT[:n*in], x, n, in)
+	i0 := 0 // inputs below i0 run on the lanes
+	if useLanes {
+		i0 = in &^ 15
+	}
+	var xT []float64
+	if i0 < in {
+		xT = transpose(b.xT[:n*in], x, n, in)
+	}
 	for o := 0; o < out; o++ {
 		g := gyT[o*n : (o+1)*n]
 		bg := l.B.Grad[o]
@@ -154,7 +195,10 @@ func (l *Linear) accumulateGrads(b *Batch, x, gy []float64, n int) {
 		}
 		l.B.Grad[o] = bg
 		row := l.W.Grad[o*in : (o+1)*in]
-		i := 0
+		for i := 0; i < i0; i += 16 {
+			lanes(row[i:], row[i:], g, x[i:], in)
+		}
+		i := i0
 		for ; i+4 <= in; i += 4 {
 			x0 := xT[i*n : (i+1)*n][:len(g)]
 			x1 := xT[(i+1)*n : (i+2)*n][:len(g)]
@@ -182,11 +226,26 @@ func (l *Linear) accumulateGrads(b *Batch, x, gy []float64, n int) {
 
 // inputGrad writes the input gradients gx = Wᵀ gy of n samples (n × In)
 // from their upstream gradients gy (n × Out). Each element is a sum over
-// outputs in order, starting from zero. Blocks of four samples read a
-// transposed copy of W held in b, giving four independent accumulators
-// per input; the remaining samples stream the weight rows directly.
+// outputs in order, starting from zero. With the lane kernels on, inputs
+// run sixteen at a time across the lanes, reading W as it is. For the
+// rest, blocks of four samples read a transposed copy of W held in b,
+// giving four independent accumulators per input; the remaining samples
+// stream the weight rows directly.
 func (l *Linear) inputGrad(b *Batch, gy, gx []float64, n int) {
 	in, out := l.In, l.Out
+	i0 := 0 // inputs below i0 ran on the lanes
+	if useLanes {
+		i0 = in &^ 15
+		for s := 0; s < n; s++ {
+			gs := gy[s*out : (s+1)*out]
+			for i := 0; i < i0; i += 16 {
+				lanes(gx[s*in+i:], zero16[:], gs, l.W.Val[i:], in)
+			}
+		}
+		if i0 == in {
+			return
+		}
+	}
 	s := 0
 	if n >= 4 {
 		wT := transpose(b.wT[:in*out], l.W.Val, out, in)
@@ -195,7 +254,7 @@ func (l *Linear) inputGrad(b *Batch, gy, gx []float64, n int) {
 			g1 := gy[(s+1)*out : (s+2)*out]
 			g2 := gy[(s+2)*out : (s+3)*out]
 			g3 := gy[(s+3)*out : (s+4)*out]
-			for i := 0; i < in; i++ {
+			for i := i0; i < in; i++ {
 				col := wT[i*out : (i+1)*out]
 				g0, g1, g2, g3 := g0[:len(col)], g1[:len(col)], g2[:len(col)], g3[:len(col)]
 				var a0, a1, a2, a3 float64
@@ -213,12 +272,12 @@ func (l *Linear) inputGrad(b *Batch, gy, gx []float64, n int) {
 		}
 	}
 	for ; s < n; s++ {
-		dst := gx[s*in : (s+1)*in]
+		dst := gx[s*in+i0 : (s+1)*in]
 		for i := range dst {
 			dst[i] = 0
 		}
 		for o, g := range gy[s*out : (s+1)*out] {
-			row := l.W.Val[o*in : (o+1)*in]
+			row := l.W.Val[o*in+i0 : (o+1)*in]
 			dst := dst[:len(row)]
 			for i, w := range row {
 				dst[i] += g * w
@@ -275,7 +334,7 @@ func (b *Batch) reserve(m *MLP, n int) {
 	b.grad[1] = grow(b.grad[1], n*width)
 	b.xT = grow(b.xT, n*width)
 	b.gyT = grow(b.gyT, n*width)
-	if n >= 4 { // only inputGrad's four-sample blocks read the transpose of W
+	if n >= 4 { // only forward's lanes and inputGrad's four-sample blocks read the transpose of W
 		b.wT = grow(b.wT, area)
 	}
 }
@@ -339,7 +398,7 @@ func (m *MLP) ForwardBatch(b *Batch, x []float64, n int) []float64 {
 	in := x
 	for k, l := range m.layers {
 		out := b.outs[k]
-		l.forward(in, out, n)
+		l.forward(b, in, out, n)
 		if k < len(m.layers)-1 {
 			for i, v := range out {
 				out[i] = m.act.apply(v)

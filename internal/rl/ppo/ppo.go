@@ -100,9 +100,10 @@ type Agent struct {
 	probs  []float64 // scratch: mixture distribution actually played
 	logp   []float64 // scratch: floored log of probs
 
-	// Update scratch: the networks' parameters and minibatch buffers,
-	// the shuffled order of every epoch, and each half's minibatch
-	// observations and per-sample output gradients, row-major.
+	// Update scratch: the networks' parameters and minibatch buffers
+	// (which ActBatch borrows between updates), the shuffled order of
+	// every epoch, and each half's minibatch observations and
+	// per-sample output gradients, row-major.
 	pParams, vParams []nn.Param
 	pBatch, vBatch   nn.Batch
 	order            []int
@@ -228,14 +229,28 @@ func (a *Agent) dist(logits []float64) {
 	}
 }
 
-// Act implements rl.Agent: samples from the categorical policy (with the
-// exploration floor mixed in).
+// Act samples one action from the categorical policy (with the
+// exploration floor mixed in) and returns it with its log-probability
+// and the value estimate: ActBatch's one-row case.
 func (a *Agent) Act(obs []float64) (int, float64, float64) {
-	a.dist(a.policy.Forward(obs))
-	action := nn.SampleCategorical(a.probs, a.rng)
-	logp := nn.LogProb(a.probs, action)
-	v := a.value.Forward(obs)[0]
-	return action, logp, v
+	var action [1]int
+	var logp, value [1]float64
+	a.ActBatch(obs, 1, action[:], logp[:], value[:])
+	return action[0], logp[0], value[0]
+}
+
+// ActBatch implements rl.Agent: one ForwardBatch per network over the n
+// rows of x, then each row's action sampled in row order, so the PRNG
+// draws and every result bit are those of n Act calls (see package nn).
+func (a *Agent) ActBatch(x []float64, n int, actions []int, logps, values []float64) {
+	logits := a.policy.ForwardBatch(&a.pBatch, x, n)
+	vs := a.value.ForwardBatch(&a.vBatch, x, n)
+	k := a.policy.OutSize()
+	for r := 0; r < n; r++ {
+		a.dist(logits[r*k : (r+1)*k])
+		action := nn.SampleCategorical(a.probs, a.rng)
+		actions[r], logps[r], values[r] = action, nn.LogProb(a.probs, action), vs[r]
+	}
 }
 
 // ActGreedy returns the mode of the policy (used after training to read

@@ -49,9 +49,9 @@ type Agent struct {
 	rng    *prng.Source
 	probs  []float64
 
-	// Update scratch: the networks' parameters and minibatch buffers,
-	// and one chunk's observations and per-sample output gradients,
-	// row-major.
+	// Update scratch: the networks' parameters and minibatch buffers
+	// (which ActBatch borrows between updates), and one chunk's
+	// observations and per-sample output gradients, row-major.
 	pParams, vParams []nn.Param
 	pBatch, vBatch   nn.Batch
 	obs              []float64
@@ -87,12 +87,27 @@ func New(obsSize, numActions int, cfg Config, rng *prng.Source) *Agent {
 	return a
 }
 
-// Act implements rl.Agent.
+// Act samples one action and returns it with its log-probability and
+// the value estimate: ActBatch's one-row case.
 func (a *Agent) Act(obs []float64) (int, float64, float64) {
-	logits := a.policy.Forward(obs)
-	nn.Softmax(logits, a.probs)
-	action := nn.SampleCategorical(a.probs, a.rng)
-	return action, nn.LogProb(a.probs, action), a.value.Forward(obs)[0]
+	var action [1]int
+	var logp, value [1]float64
+	a.ActBatch(obs, 1, action[:], logp[:], value[:])
+	return action[0], logp[0], value[0]
+}
+
+// ActBatch implements rl.Agent: one ForwardBatch per network over the n
+// rows of x, then each row's action sampled in row order, as n Act
+// calls would.
+func (a *Agent) ActBatch(x []float64, n int, actions []int, logps, values []float64) {
+	logits := a.policy.ForwardBatch(&a.pBatch, x, n)
+	vs := a.value.ForwardBatch(&a.vBatch, x, n)
+	k := a.policy.OutSize()
+	for r := 0; r < n; r++ {
+		nn.Softmax(logits[r*k:(r+1)*k], a.probs)
+		action := nn.SampleCategorical(a.probs, a.rng)
+		actions[r], logps[r], values[r] = action, nn.LogProb(a.probs, action), vs[r]
+	}
 }
 
 // ActGreedy returns the policy mode.

@@ -31,10 +31,13 @@ type Env interface {
 
 // Agent selects actions and learns from collected batches.
 type Agent interface {
-	// Act returns the chosen action, its log-probability under the
-	// current policy, and the state-value estimate. Act must be safe to
-	// call repeatedly from one goroutine (the runner serializes calls).
-	Act(obs []float64) (action int, logProb, value float64)
+	// ActBatch selects actions for n observations stored row-major in
+	// x (n × observation width). It writes each row's chosen action,
+	// its log-probability under the current policy and the state-value
+	// estimate to actions[:n], logProbs[:n] and values[:n]. Rows are
+	// sampled in order, so the agent draws exactly what n one-row calls
+	// would. The runner calls it from one goroutine.
+	ActBatch(x []float64, n int, actions []int, logProbs, values []float64)
 	// Update performs one learning step on a rollout batch.
 	Update(b *Batch) UpdateStats
 }
@@ -128,14 +131,39 @@ func sqrt(x float64) float64 {
 }
 
 // Runner collects rollouts from a set of environments in parallel.
-// Action selection is serialized through the shared agent; Step calls run
-// concurrently, which is where the time goes (the fault-simulation t-test
-// fires inside the terminal Step).
+// Each step selects the actions of all running episodes with one
+// ActBatch call; Step calls run concurrently, which is where the time
+// goes (the fault-simulation t-test fires inside the terminal Step).
 type Runner struct {
 	Envs  []Env
 	Agent Agent
 	// Gamma and Lambda are the GAE parameters (defaults 0.99 / 0.95).
 	Gamma, Lambda float64
+
+	// Per-step scratch, reused across steps and calls: each env's
+	// rollout state and the goroutine body that steps it, the running
+	// envs in index order, and their rows of the ActBatch call.
+	envs    []envRollout
+	step    []func()
+	stepped sync.WaitGroup
+	active  []int
+	x       []float64
+	actions []int
+	logps   []float64
+	values  []float64
+}
+
+// envRollout is one env's part of a CollectEpisodes call.
+type envRollout struct {
+	obs         []float64 // observation the next action is chosen from; the batch keeps it
+	action      int
+	logp, value float64
+	next        []float64 // observation after the step, unless it ended the episode
+	reward      float64
+	done        bool
+	ret         float64 // running episode return and length
+	steps       int
+	traj        Batch // this call's transitions so far
 }
 
 // NewRunner creates a runner with default GAE parameters.
@@ -146,107 +174,138 @@ func NewRunner(envs []Env, agent Agent) *Runner {
 	return &Runner{Envs: envs, Agent: agent, Gamma: 0.99, Lambda: 0.95}
 }
 
+// reserve sizes the per-env scratch to r.Envs and empties each env's
+// trajectory.
+func (r *Runner) reserve() {
+	n := len(r.Envs)
+	if len(r.step) != n {
+		r.envs = make([]envRollout, n)
+		r.step = make([]func(), n)
+		for i := range r.step {
+			r.step[i] = func() { r.stepEnv(i) }
+		}
+		r.active = make([]int, 0, n)
+		r.actions = make([]int, n)
+		r.logps = make([]float64, n)
+		r.values = make([]float64, n)
+	}
+	for i := range r.envs {
+		t := &r.envs[i].traj
+		t.Obs, t.Actions, t.LogProbs = t.Obs[:0], t.Actions[:0], t.LogProbs[:0]
+		t.Rewards, t.Values, t.Dones = t.Rewards[:0], t.Values[:0], t.Dones[:0]
+	}
+}
+
+// stepEnv applies env i's chosen action; it runs on a goroutine of its
+// own. Observations are owned by envs and may be reused, so the one the
+// next step acts on is copied.
+func (r *Runner) stepEnv(i int) {
+	defer r.stepped.Done()
+	e := &r.envs[i]
+	o, rew, done := r.Envs[i].Step(e.action)
+	e.reward, e.done = rew, done
+	if !done {
+		e.next = append([]float64(nil), o...)
+	}
+}
+
 // CollectEpisodes runs exactly episodesPerEnv full episodes in every env
-// and returns the batch (with GAE computed) plus per-episode summaries.
+// and returns the batch (with GAE computed) plus per-episode summaries,
+// both in env order. Apart from the observation copies the batch keeps,
+// it allocates only the returned slices once its scratch has grown.
 func (r *Runner) CollectEpisodes(episodesPerEnv int) (*Batch, []EpisodeResult, error) {
 	if episodesPerEnv < 1 {
 		return nil, nil, fmt.Errorf("rl: episodesPerEnv must be >= 1")
 	}
 	nEnvs := len(r.Envs)
-	type envTraj struct {
-		batch    Batch
-		episodes []EpisodeResult
-	}
-	trajs := make([]envTraj, nEnvs)
-
-	// Observations are owned by envs and may be reused, so copy them.
-	copyObs := func(o []float64) []float64 {
-		c := make([]float64, len(o))
-		copy(c, o)
-		return c
-	}
-
+	r.reserve()
+	episodes := make([]EpisodeResult, nEnvs*episodesPerEnv)
 	for ep := 0; ep < episodesPerEnv; ep++ {
-		// Reset all envs, get initial observations.
-		obs := make([][]float64, nEnvs)
-		done := make([]bool, nEnvs)
-		retSum := make([]float64, nEnvs)
-		steps := make([]int, nEnvs)
-		for i, e := range r.Envs {
-			obs[i] = copyObs(e.Reset())
+		w := 0
+		for i, env := range r.Envs {
+			o := env.Reset()
+			if i == 0 {
+				w = len(o)
+			} else if len(o) != w {
+				panic(fmt.Sprintf("rl: env %d observation has width %d, env 0 has %d", i, len(o), w))
+			}
+			e := &r.envs[i]
+			e.obs = append([]float64(nil), o...)
+			e.ret, e.steps = 0, 0
 		}
-		active := nEnvs
-		for active > 0 {
-			// Serial action selection (the agent shares scratch state).
-			actions := make([]int, nEnvs)
-			logps := make([]float64, nEnvs)
-			values := make([]float64, nEnvs)
-			for i := range r.Envs {
-				if done[i] {
+		if len(r.x) < nEnvs*w {
+			r.x = make([]float64, nEnvs*w)
+		}
+		active := r.active[:0]
+		for i := range r.Envs {
+			active = append(active, i)
+		}
+		for len(active) > 0 {
+			n := len(active)
+			x := r.x[:n*w]
+			for row, i := range active {
+				copy(x[row*w:(row+1)*w], r.envs[i].obs)
+			}
+			r.Agent.ActBatch(x, n, r.actions[:n], r.logps[:n], r.values[:n])
+			r.stepped.Add(n)
+			for row, i := range active {
+				e := &r.envs[i]
+				e.action, e.logp, e.value = r.actions[row], r.logps[row], r.values[row]
+				go r.step[i]()
+			}
+			r.stepped.Wait()
+			running := active[:0]
+			for _, i := range active {
+				e := &r.envs[i]
+				t := &e.traj
+				t.Obs = append(t.Obs, e.obs)
+				t.Actions = append(t.Actions, e.action)
+				t.LogProbs = append(t.LogProbs, e.logp)
+				t.Rewards = append(t.Rewards, e.reward)
+				t.Values = append(t.Values, e.value)
+				t.Dones = append(t.Dones, e.done)
+				e.ret += e.reward
+				e.steps++
+				if e.done {
+					episodes[i*episodesPerEnv+ep] = EpisodeResult{EnvIndex: i, Return: e.ret, Steps: e.steps}
 					continue
 				}
-				actions[i], logps[i], values[i] = r.Agent.Act(obs[i])
+				e.obs, e.next = e.next, nil
+				running = append(running, i)
 			}
-			// Parallel env stepping.
-			var wg sync.WaitGroup
-			nextObs := make([][]float64, nEnvs)
-			rewards := make([]float64, nEnvs)
-			finished := make([]bool, nEnvs)
-			for i := range r.Envs {
-				if done[i] {
-					continue
-				}
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					o, rew, d := r.Envs[i].Step(actions[i])
-					nextObs[i] = copyObs(o)
-					rewards[i] = rew
-					finished[i] = d
-				}(i)
-			}
-			wg.Wait()
-			for i := range r.Envs {
-				if done[i] {
-					continue
-				}
-				t := &trajs[i]
-				t.batch.Obs = append(t.batch.Obs, obs[i])
-				t.batch.Actions = append(t.batch.Actions, actions[i])
-				t.batch.LogProbs = append(t.batch.LogProbs, logps[i])
-				t.batch.Rewards = append(t.batch.Rewards, rewards[i])
-				t.batch.Values = append(t.batch.Values, values[i])
-				t.batch.Dones = append(t.batch.Dones, finished[i])
-				retSum[i] += rewards[i]
-				steps[i]++
-				obs[i] = nextObs[i]
-				if finished[i] {
-					done[i] = true
-					active--
-					t.episodes = append(t.episodes, EpisodeResult{
-						EnvIndex: i, Return: retSum[i], Steps: steps[i],
-					})
-				}
-			}
+			active = running
 		}
 	}
 
 	// Concatenate per-env trajectories (episodes stay contiguous, which
-	// ComputeGAE requires).
-	var out Batch
-	var episodes []EpisodeResult
-	for i := range trajs {
-		t := &trajs[i]
-		out.Obs = append(out.Obs, t.batch.Obs...)
-		out.Actions = append(out.Actions, t.batch.Actions...)
-		out.LogProbs = append(out.LogProbs, t.batch.LogProbs...)
-		out.Rewards = append(out.Rewards, t.batch.Rewards...)
-		out.Values = append(out.Values, t.batch.Values...)
-		out.Dones = append(out.Dones, t.batch.Dones...)
-		episodes = append(episodes, t.episodes...)
+	// ComputeGAE requires), then drop their references to the
+	// observations.
+	total := 0
+	for i := range r.envs {
+		total += r.envs[i].traj.Len()
+	}
+	out := &Batch{
+		Obs:      make([][]float64, 0, total),
+		Actions:  make([]int, 0, total),
+		LogProbs: make([]float64, 0, total),
+		Rewards:  make([]float64, 0, total),
+		Values:   make([]float64, 0, total),
+		Dones:    make([]bool, 0, total),
+	}
+	for i := range r.envs {
+		e := &r.envs[i]
+		t := &e.traj
+		out.Obs = append(out.Obs, t.Obs...)
+		out.Actions = append(out.Actions, t.Actions...)
+		out.LogProbs = append(out.LogProbs, t.LogProbs...)
+		out.Rewards = append(out.Rewards, t.Rewards...)
+		out.Values = append(out.Values, t.Values...)
+		out.Dones = append(out.Dones, t.Dones...)
+		clear(t.Obs)
+		e.obs = nil
 	}
 	out.ComputeGAE(r.Gamma, r.Lambda)
-	return &out, episodes, nil
+	return out, episodes, nil
 }
 
 // ShuffleInto fills the caller-owned idx with a permutation of the batch

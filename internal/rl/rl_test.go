@@ -54,8 +54,12 @@ func (e *countEnv) NumActions() int { return e.k }
 // fixedAgent always picks the same action with a fixed value estimate.
 type fixedAgent struct{ action int }
 
-func (f *fixedAgent) Act(obs []float64) (int, float64, float64) { return f.action, -1.0, 0.5 }
-func (f *fixedAgent) Update(b *Batch) UpdateStats               { return UpdateStats{} }
+func (f *fixedAgent) ActBatch(x []float64, n int, actions []int, logps, values []float64) {
+	for r := 0; r < n; r++ {
+		actions[r], logps[r], values[r] = f.action, -1.0, 0.5
+	}
+}
+func (f *fixedAgent) Update(b *Batch) UpdateStats { return UpdateStats{} }
 
 func TestComputeGAEHandChecked(t *testing.T) {
 	b := &Batch{
@@ -190,5 +194,33 @@ func TestShuffleIsPermutation(t *testing.T) {
 			t.Fatal("Shuffle is not a permutation")
 		}
 		seen[i] = true
+	}
+}
+
+// TestCollectEpisodesAllocatesOnlyKeptObservations: once the runner's
+// scratch has grown, a call allocates one copy per observation the
+// batch keeps plus the returned slices, however many steps it runs.
+func TestCollectEpisodesAllocatesOnlyKeptObservations(t *testing.T) {
+	const nEnvs, steps = 4, 6
+	envs := make([]Env, nEnvs)
+	for i := range envs {
+		envs[i] = newCountEnv(4, steps, 1)
+	}
+	r := NewRunner(envs, &fixedAgent{action: 1})
+	// The returned batch header, its six rollout slices and two GAE
+	// vectors, and the episode list.
+	const returned = 10
+	for _, k := range []int{1, 4} {
+		kept := nEnvs * k * steps
+		// AllocsPerRun's own warm-up call grows the scratch.
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, _, err := r.CollectEpisodes(k); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > float64(kept+returned) {
+			t.Errorf("%d episodes per env: %v allocations per call, want at most %d kept observations + %d returned slices",
+				k, allocs, kept, returned)
+		}
 	}
 }

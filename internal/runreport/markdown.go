@@ -8,6 +8,10 @@ import (
 	"repro/internal/report"
 )
 
+// notRecorded fills a table cell whose value the event log does not
+// carry.
+const notRecorded = "not recorded"
+
 // renderFenced wraps the fixed-width table in a code fence so it renders
 // verbatim in markdown.
 func renderFenced(w io.Writer, tb *report.Table) {
@@ -125,10 +129,14 @@ func WriteMarkdown(w io.Writer, rep *Report) {
 	if len(rep.FaultModels) > 0 {
 		tb := report.NewTable("per fault model", "model", "episodes", "exploitable", "rate", "campaigns", "mean ms", "max ms")
 		for _, m := range rep.FaultModels {
-			tb.AddRow(m.Model, m.Episodes, m.LeakyEpisodes,
-				fmt.Sprintf("%.1f%%", 100*m.LeakyRate), m.Campaigns,
-				fmt.Sprintf("%.2f", m.CampaignMeanMS),
-				fmt.Sprintf("%.2f", m.CampaignMaxMS))
+			row := []any{m.Model, m.Episodes, m.LeakyEpisodes, fmt.Sprintf("%.1f%%", 100*m.LeakyRate),
+				m.Campaigns, fmt.Sprintf("%.2f", m.CampaignMeanMS), fmt.Sprintf("%.2f", m.CampaignMaxMS)}
+			if m.Campaigns == 0 {
+				// A discovery whose oracles emit no campaign events has
+				// no campaign figures: say so rather than print zeros.
+				row[4], row[5], row[6] = notRecorded, notRecorded, notRecorded
+			}
+			tb.AddRow(row...)
 		}
 		renderFenced(w, tb)
 	}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -150,5 +151,29 @@ func TestAccumulatorDegenerate(t *testing.T) {
 	tiny := constant(3, 1).T(1, constant(5, 50))
 	if tiny.T != 0 {
 		t.Errorf("n < 2 population: t = %v, want 0", tiny.T)
+	}
+}
+
+// BenchmarkAccumulatorAdd times Add per row at the group shapes the
+// campaigns feed it: gift64's 16 nibbles, aes128's 16 bytes and
+// speck64's 8 bytes, at orders 1 and 2.
+func BenchmarkAccumulatorAdd(b *testing.B) {
+	shapes := []struct {
+		cipher      string
+		groups, bit int
+	}{{"gift64", 16, 4}, {"aes128", 16, 8}, {"speck64", 8, 8}}
+	for _, sh := range shapes {
+		for order := 1; order <= 2; order++ {
+			b.Run(fmt.Sprintf("%s/order%d", sh.cipher, order), func(b *testing.B) {
+				rng := prng.New(1)
+				rows := randomMatrix(rng, 1024, sh.groups, 1<<sh.bit-1)
+				acc := NewAccumulator(sh.groups, order)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					acc.Add(rows[i%len(rows)])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/row")
+			})
+		}
 	}
 }
